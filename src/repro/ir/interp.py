@@ -15,6 +15,13 @@ from repro.ir.ops import Opcode, Operation, evaluate
 from repro.ir.stmts import ForLoop, IfStmt, Program, Stmt
 
 Number = Union[int, float]
+
+#: Opcodes counted as one floating-point operation each.
+_FLOPS = frozenset({
+    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FNEG,
+    Opcode.FABS, Opcode.FMAX, Opcode.FMIN,
+})
+
 #: Memory maps ``(array name, element index) -> value``.
 Memory = dict[tuple[str, int], Number]
 ArrayInit = Callable[[str, int], Number]
@@ -102,22 +109,23 @@ class Interpreter:
 
     def _run_op(self, op: Operation) -> None:
         self.op_count += 1
-        if op.opcode in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
-                         Opcode.FNEG, Opcode.FABS, Opcode.FMAX, Opcode.FMIN):
+        opcode = op.opcode
+        if opcode in _FLOPS:
             self.flop_count += 1
-        if op.opcode is Opcode.LOAD:
+        if opcode is Opcode.LOAD:
             index = int(self.read(op.srcs[0])) + op.offset
             self._check_bounds(op.array, index)
             self.regs[op.dest] = self.memory[(op.array, index)]
-        elif op.opcode is Opcode.STORE:
+        elif opcode is Opcode.STORE:
             index = int(self.read(op.srcs[0])) + op.offset
             self._check_bounds(op.array, index)
             self.memory[(op.array, index)] = self.read(op.srcs[1])
-        elif op.is_control:
+        elif (opcode is Opcode.CJUMP or opcode is Opcode.JUMP
+              or opcode is Opcode.CBR):
             raise InterpreterError(f"control op {op!r} in structured IR")
         else:
-            args = [self.read(s) for s in op.srcs]
-            self.regs[op.dest] = evaluate(op.opcode, *args)
+            read = self.read
+            self.regs[op.dest] = evaluate(opcode, *[read(s) for s in op.srcs])
 
 
 def run_program(program: Program,

@@ -13,7 +13,13 @@ FLOAT = "float"
 
 @dataclass(frozen=True, order=True)
 class Reg:
-    """A virtual register.  Identity is by name; ``kind`` is metadata."""
+    """A virtual register.  Identity is by name; ``kind`` is metadata.
+
+    Registers key most of the compiler's and simulator's dicts, so the
+    hash is computed once, at construction.  It is never pickled: string
+    hashes are salted per process, so an unpickled register (from the
+    schedule cache or a worker process) computes its own again.
+    """
 
     name: str
     kind: str = INT
@@ -21,6 +27,13 @@ class Reg:
     def __post_init__(self) -> None:
         if self.kind not in (INT, FLOAT):
             raise ValueError(f"bad register kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Reg, (self.name, self.kind))
 
     def __repr__(self) -> str:
         return f"%{self.name}"

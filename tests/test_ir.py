@@ -1,6 +1,13 @@
 """IR: operands, operations, statements, builder, printer."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.ir import (
     FLOAT,
@@ -50,6 +57,30 @@ class TestOperands:
     def test_as_operand_rejects_strings(self):
         with pytest.raises(TypeError):
             as_operand("x")
+
+    def test_pickled_reg_keys_found_under_another_hash_seed(self, tmp_path):
+        """A register's hash is cached, but never pickled: string hashes
+        are salted per process, and the schedule cache and process
+        workers move registers between processes."""
+        path = tmp_path / "regs.pkl"
+        make = ("{Reg(f'v{i}', FLOAT if i % 2 else INT): i"
+                " for i in range(64)}")
+        steps = [
+            ("1", f"pickle.dump({make}, open({str(path)!r}, 'wb'))"),
+            ("2", f"loaded = pickle.load(open({str(path)!r}, 'rb'))\n"
+                  f"assert all(loaded[reg] == i for reg, i in {make}.items())"
+                  "\nassert all(loaded[reg] == i for reg, i in"
+                  " loaded.items())"),
+        ]
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        for seed, body in steps:
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import pickle\nfrom repro.ir import FLOAT, INT, Reg\n"
+                 + body],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                check=True,
+            )
 
 
 class TestOperation:
