@@ -47,9 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.compile import CompiledProgram, CompilerPolicy
     from repro.ir.stmts import Program
 
-#: Bumped whenever the emitted-code format or the compiler's output
-#: changes incompatibly; invalidates every existing cache entry.
-CACHE_FORMAT = 1
+#: Bumped whenever the emitted-code format, the compiler's output or the
+#: pickled form of anything a :class:`CompiledProgram` holds changes
+#: incompatibly; invalidates every existing cache entry.  Format 2: a
+#: ``Reg`` pickles as its constructor arguments (format-1 entries restore
+#: registers without their cached hash).
+CACHE_FORMAT = 2
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 

@@ -75,7 +75,13 @@ class VLIWSimulator:
         # for the translator's code.
         from repro.simulator.translate import Translation
 
-        translation = Translation(self.code, self.memory, self.max_cycles)
+        memory = self.memory
+        translation = Translation(self.code, memory, self.max_cycles)
+        # The translation holds the arrays until the run ends: drop the
+        # image of them meanwhile, keeping any cell of an undeclared array.
+        others = {key: value for key, value in memory.items()
+                  if key[0] not in translation.arrays}
+        memory.clear()
         try:
             self.stats.cycles = translation.run()
         except NameError as error:
@@ -87,10 +93,10 @@ class VLIWSimulator:
             ) from None
         finally:
             self.regs = translation.register_values()
-            memory = self.memory
             for name, values in translation.arrays.items():
                 for index, value in values.items():
                     memory[(name, index)] = value
+            memory.update(others)
         stats = self.stats
         (stats.operations, stats.flops, stats.loads, stats.stores,
          stats.branches) = translation.statistics()
@@ -123,10 +129,13 @@ def values_match(a, b) -> bool:
 
 def memory_diffs(memory: Memory, expected: Memory) -> list[str]:
     """Human-readable cells where ``memory`` disagrees with ``expected``."""
+    keys = [key for key, value in memory.items()
+            if not values_match(value, expected.get(key))]
+    keys += [key for key, value in expected.items()
+             if key not in memory and not values_match(None, value)]
     return [
         f"  {key}: simulated {memory.get(key)!r}, expected {expected.get(key)!r}"
-        for key in sorted(set(memory) | set(expected))
-        if not values_match(memory.get(key), expected.get(key))
+        for key in sorted(keys)
     ]
 
 

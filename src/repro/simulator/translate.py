@@ -57,6 +57,17 @@ from repro.simulator.units import Unit
 from repro.simulator.writer import TEMPLATES
 
 
+#: Every name generated code has used, kept for the life of the process.
+#: Compiling interns a code object's names, and they leave the
+#: interpreter's table of interned strings when a run's functions die; the
+#: table does not reuse deleted entries, so a process translating run after
+#: run would keep refilling it until it doubles.  Names are small numbers
+#: that repeat from run to run, so the set stays small; it stops growing at
+#: ``_NAMES_KEPT`` all the same.
+_NAMES: set[str] = set()
+_NAMES_KEPT = 1 << 13
+
+
 class _Nothing:
     """What a temporary holds when its write, store or dispatch did not
     issue (``_N`` in generated code)."""
@@ -246,6 +257,8 @@ class Translation:
         exec(compile(source, f"<vliw {name}>", "exec"), self.globals,
              namespace)
         code = namespace["_factory"]().__code__
+        if len(_NAMES) < _NAMES_KEPT:
+            _NAMES.update(code.co_names, code.co_varnames, code.co_freevars)
         return types.FunctionType(
             code, self.globals, name, None,
             tuple(self.cells[var] for var in code.co_freevars),

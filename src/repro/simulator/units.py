@@ -30,11 +30,6 @@ if TYPE_CHECKING:
     from repro.simulator.translate import Translation
 
 
-#: Software-pipelined loops with fewer lines than this are translated
-#: into the unit's function; longer ones get a function each for prolog,
-#: kernel and epilog, which bounds the memory one compilation needs.
-_INLINE_LIMIT = 200
-
 class Unit(StretchWriter):
     """Source of one unit's generated function, from region ``start`` of
     the unit's regions on, entered with the pending writes of ``entry``."""
@@ -138,13 +133,13 @@ class Unit(StretchWriter):
     # -- software-pipelined loops ---------------------------------------------
 
     def pipelined(self, region: PipelinedLoopRegion, state: State) -> State:
-        """Prolog, kernel passes and epilog, outlined into a function each
-        when long.  Pending writes and predicate outcomes cross the pass
-        boundaries in loop-carried locals.  Each pass is translated for the
-        shape of pending state it is entered in until one pass leaves the
-        shape it found; that pass loops, the ones before it run once each
-        (a pipeline the prolog does not fill), and the epilog takes the
-        union of the shapes."""
+        """Prolog, kernel passes and epilog, each a function of its own,
+        which bounds the memory one compilation needs.  Pending writes and
+        predicate outcomes cross the pass boundaries in loop-carried
+        locals.  Each pass is translated for the shape of pending state it
+        is entered in until one pass leaves the shape it found; that pass
+        loops, the ones before it run once each (a pipeline the prolog does
+        not fill), and the epilog takes the union of the shapes."""
         label = region.label or "pipelined loop"
         passes = self.passes(region.passes)
         k, u = region.started_in_prolog, region.unroll
@@ -211,16 +206,11 @@ class Unit(StretchWriter):
             slot.preds for word in region.epilog for slot in word.slots
         ):
             check = [f"if n < 0: _negative_passes({label!r})"]
-        if len(prolog) + len(loop) + len(epilog) < _INLINE_LIMIT:
-            self.splice(prolog + [f"n = {passes}"] + loop + check + epilog)
-        else:
-            values = _values(carried)
-            self.outline("prolog", _values(State(state.writes)), prolog,
-                         values)
-            self.outline("kernel", ["n"] + values, loop + check, values,
-                         [passes] + values)
-            self.outline("epilog", values, epilog,
-                         _values(State(out.writes)))
+        values = _values(carried)
+        self.outline("prolog", _values(State(state.writes)), prolog, values)
+        self.outline("kernel", ["n"] + values, loop + check, values,
+                     [passes] + values)
+        self.outline("epilog", values, epilog, _values(State(out.writes)))
         return State(out.writes)
 
     def outline(self, prefix: str, params: list[str], lines: list[str],

@@ -137,10 +137,6 @@ class StretchWriter:
         finally:
             self.lines, self.indent, self.static = saved
 
-    def splice(self, lines: list[str]) -> None:
-        for line in lines:
-            self.emit(line)
-
     # -- straight-line code ---------------------------------------------------
 
     def stretch(self, words: list[WideInstruction], state: State,

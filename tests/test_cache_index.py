@@ -8,14 +8,19 @@ the index does not know about costs a recompile, never a wrong result.
 """
 
 import builtins
+import copyreg
+import io
 import pickle
 
 import pytest
 
+import repro.batch.cache as cache_module
 from repro import WARP
 from repro.batch import ScheduleCache, cache_key, compile_many, compile_one
 from repro.core.compile import CompilerPolicy
 from repro.frontend import parse_program
+from repro.ir import Reg
+from repro.simulator import run_and_check
 from repro.workloads import generate_suite
 
 SUITE = generate_suite()
@@ -102,6 +107,54 @@ class TestMissesTouchNoDisk:
         cache._entry_path(keys[0]).write_bytes(b"not a pickle")
         assert cache.get(keys[0]) is None
         assert cache.misses == 1
+
+
+class _Format1Pickler(pickle.Pickler):
+    """Pickles registers the way format-1 entries hold them: the default
+    dataclass reduction, fields as state and no constructor call."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Reg:
+            return (copyreg.__newobj__, (Reg,),
+                    {"name": obj.name, "kind": obj.kind})
+        return NotImplemented
+
+
+def _format_1_dumps(obj) -> bytes:
+    buffer = io.BytesIO()
+    _Format1Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
+class TestFormat:
+    def test_format_1_entry_is_not_served(self, tmp_path, monkeypatch):
+        """A format-1 entry restores registers without the hash a register
+        now computes at construction, so simulating it would fail; the
+        format in the key keeps such entries from being served."""
+        source = SUITE[0].source
+        ir, _ = parse_program(source)
+        compiled = compile_one("p0", source, WARP).compiled
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_FORMAT", 1)
+            old_key = cache_key(ir, WARP, CompilerPolicy())
+        cache_dir = tmp_path / "cache"
+        entry = ScheduleCache(cache_dir)._entry_path(old_key)
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(_format_1_dumps(compiled))
+        stale = pickle.loads(entry.read_bytes())
+        with pytest.raises(AttributeError):
+            run_and_check(stale.code)
+
+        cache = ScheduleCache(cache_dir)
+        assert cache.index_size == 1
+        key = cache_key(ir, WARP, CompilerPolicy())
+        assert key != old_key
+        assert cache.get(key) is None
+        result = compile_one("p0", source, WARP, cache=cache)
+        assert result.ok and not result.from_cache
+        served = ScheduleCache(cache_dir).get(key)
+        assert served is not None
+        run_and_check(served.code)
 
 
 class TestSharedUnpickling:

@@ -23,6 +23,7 @@ from repro.core.emit import (
     CondRegion,
     GuardedRegion,
     PipelinedLoopRegion,
+    PipelinePasses,
     RegisterPressureError,
     SequentialLoopRegion,
     SlotOp,
@@ -34,7 +35,7 @@ from repro.machine import WARP, make_warp
 from repro.simulator import (
     SimulationError,
     VLIWSimulator,
-    units,
+    translate,
     values_match,
 )
 from repro.workloads import LIVERMORE_KERNELS, USER_PROGRAMS, generate_suite
@@ -109,6 +110,19 @@ def test_audit_programs():
         assert assert_agree(code) == "ok", generated.name
         checked += 1
     assert checked > 40
+
+
+def test_generated_names_repeat_from_run_to_run():
+    """What the translator keeps across runs is the set of names generated
+    code used; running the same programs again adds none."""
+    codes = [compile_source(source, WARP, policy).code
+             for _, source in PAPER[::4] for policy in VARIANTS.values()]
+    for code in codes:
+        VLIWSimulator(code).run()
+    names = set(translate._NAMES)
+    for code in codes:
+        VLIWSimulator(code).run()
+    assert translate._NAMES == names
 
 
 # -- hazards injected into compiled code --------------------------------------
@@ -218,6 +232,50 @@ def test_predicate_order_names_region_and_instruction():
                                           label="L1(i)")])
     assert "consulted before its dispatch" in message
     assert "L1(i) kernel, instruction 1" in message
+
+
+# -- deliberate divergences from the stepper ----------------------------------
+
+
+def _negative_passes_loop(epilog_preds):
+    """A pipelined loop whose pass count evaluates to -1: trip count 1, two
+    iterations started in the prolog.  Compiled code never enters one, as
+    its guard asks for a trip count of at least k + u."""
+    cond, x = Reg("R0"), Reg("R1", FLOAT)
+    prolog = [
+        _instr(SlotOp(Operation(Opcode.MOV, cond, (Imm(1),)))),
+        _instr(SlotOp(Operation(Opcode.CBR, srcs=(cond,)), iteration=0,
+                      cbr_uid=7)),
+        _instr(SlotOp(Operation(Opcode.CBR, srcs=(cond,)), iteration=1,
+                      cbr_uid=7)),
+    ]
+    kernel = [_instr(SlotOp(Operation(Opcode.FMOV, x, (Imm(2.0),))))]
+    epilog = [_instr(SlotOp(Operation(Opcode.FMOV, x, (Imm(3.0),)),
+                            iteration=-1, preds=epilog_preds))]
+    passes = PipelinePasses(TripSpec(Imm(0), Imm(0)), 2, 1)
+    program = Program("t")
+    program.declare("out", 4)
+    return CodeObject(program, WARP, [PipelinedLoopRegion(
+        prolog, kernel, epilog, passes, 1, 2, 1, label="L1(i)")])
+
+
+def test_negative_pass_count_agrees_without_predicated_epilog():
+    assert assert_agree(_negative_passes_loop(())) == "ok"
+
+
+def test_negative_pass_count_with_predicated_epilog_is_refused():
+    """The stepper runs such an epilog with its iteration numbers shifted
+    by the negative pass count, so a predicated slot consults the outcome
+    of another iteration (here the prolog's iteration 0); the translator
+    refuses to enter the loop."""
+    code = _negative_passes_loop(((7, "then"),))
+    stepper = SteppingSimulator(code)
+    stepper.run()
+    assert stepper.regs[Reg("R1", FLOAT)] == 3.0
+    with pytest.raises(SimulationError) as info:
+        VLIWSimulator(code).run()
+    assert str(info.value) == (
+        "pipelined loop 'L1(i)' entered with a negative pass count")
 
 
 # -- random hand-built region trees -------------------------------------------
@@ -332,13 +390,9 @@ class _RandomCode:
         return CodeObject(program, self.machine, [setup] + self.regions())
 
 
-@pytest.mark.parametrize("outlined", [False, True])
-def test_random_region_trees(outlined, monkeypatch):
-    if outlined:
-        # Give every software-pipelined loop functions of its own.
-        monkeypatch.setattr(units, "_INLINE_LIMIT", 0)
+def test_random_region_trees():
     seen = set()
-    for seed in range(400):
+    for seed in range(800):
         seen.add(assert_agree(_RandomCode(seed).code()))
     assert seen == {"ok", *HAZARDS[:-1]}
 
@@ -358,3 +412,14 @@ def test_random_region_trees_under_a_cycle_limit():
             continue
         assert_agree(code, max_cycles=40)
     assert "exceeded" in stepped_kinds
+
+
+def test_cells_of_undeclared_arrays_survive_a_run():
+    """The run holds the declared arrays apart from ``memory`` and writes
+    them back; any other cell a caller put there stays."""
+    simulator = VLIWSimulator(_compiled())
+    simulator.memory[("scratch", 0)] = 1.5
+    simulator.run()
+    assert simulator.memory[("scratch", 0)] == 1.5
+    assert all(key in simulator.memory
+               for key in SteppingSimulator(_compiled()).memory)
